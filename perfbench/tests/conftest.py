@@ -1,0 +1,9 @@
+"""Put the program (``src/``) and the benchmark modules on the path.
+
+Run from the repository root: ``python3 -m pytest perfbench/tests``."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]

@@ -1931,14 +1931,13 @@ def _run_serve(args: argparse.Namespace) -> int:
 _TERMINAL_JOB_STATES = ("done", "failed", "rejected")
 
 
-def _http_json(
+def _http_text(
     url: str, payload: Optional[dict] = None, timeout: float = 10.0
-) -> tuple[int, dict]:
-    """One JSON request against the job API; ``(status, body)``.
+) -> tuple[int, str]:
+    """One request against the job API; ``(status, body text)``.
 
-    Error statuses carrying a JSON body (the API's 4xx answers) are
-    returned for the caller to interpret, not raised; transport
-    failures and non-JSON answers become :class:`ReproError`.
+    Error statuses are returned for the caller to interpret, not
+    raised; transport failures become :class:`ReproError`.
     """
     from urllib.error import HTTPError, URLError
     from urllib.request import Request, urlopen
@@ -1951,21 +1950,25 @@ def _http_json(
     request = Request(url, data=data, headers=headers)
     try:
         with urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(
-                response.read().decode("utf-8")
-            )
+            return response.status, response.read().decode("utf-8")
     except HTTPError as error:
-        body = error.read().decode("utf-8", errors="replace")
-        try:
-            return error.code, json.loads(body)
-        except json.JSONDecodeError:
-            raise ReproError(
-                f"{url} answered HTTP {error.code}: {body[:200]}"
-            ) from None
+        return error.code, error.read().decode("utf-8", errors="replace")
     except URLError as error:
         raise ReproError(f"cannot reach {url}: {error.reason}") from None
-    except json.JSONDecodeError as error:
-        raise ReproError(f"{url} answered non-JSON: {error}") from None
+
+
+def _http_json(
+    url: str, payload: Optional[dict] = None, timeout: float = 10.0
+) -> tuple[int, dict]:
+    """:func:`_http_text` with the body parsed; a non-JSON answer
+    becomes :class:`ReproError`."""
+    status, body = _http_text(url, payload, timeout)
+    try:
+        return status, json.loads(body)
+    except json.JSONDecodeError:
+        raise ReproError(
+            f"{url} answered HTTP {status} non-JSON: {body[:200]}"
+        ) from None
 
 
 def _run_jobs_submit(args: argparse.Namespace) -> int:
@@ -2032,17 +2035,15 @@ def _run_jobs_submit(args: argparse.Namespace) -> int:
         f"{record['wall_seconds'] * 1e3:.1f}ms"
     )
     if args.report is not None and record["run_id"]:
-        status, report = _http_json(f"{base}/report/{record['run_id']}")
+        # As received: the same bytes `evaluate --save-report` writes.
+        status, report = _http_text(f"{base}/report/{record['run_id']}")
         if status == 200:
-            args.report.write_text(
-                json.dumps(report, indent=2, sort_keys=True),
-                encoding="utf-8",
-            )
+            args.report.write_text(report, encoding="utf-8")
             print(f"wrote report to {args.report}")
         else:
             _LOG.warning(
                 "no report for run %s (HTTP %d): %s",
-                record["run_id"], status, report.get("error", ""),
+                record["run_id"], status, report[:200],
             )
     return 0 if record["consistent"] else 1
 

@@ -61,9 +61,11 @@ def report_to_dict(report: EvaluationReport) -> dict:
     }
 
 
-def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
-    """Serialize a report to JSON text."""
-    return json.dumps(report_to_dict(report), indent=indent)
+def report_to_json(report: EvaluationReport) -> str:
+    """The canonical JSON text of a report: sorted keys, one line. It is
+    what ``--save-report`` writes, ``/report`` serves and the run digest
+    hashes; no ``indent``, which would drop to json's pure-Python encoder."""
+    return json.dumps(report_to_dict(report), sort_keys=True)
 
 
 def _verdict_to_dict(verdict: ScenarioVerdict) -> dict:

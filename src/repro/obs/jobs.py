@@ -66,7 +66,7 @@ from repro.obs.promexp import (
     bounded_label_values,
 )
 from repro.obs.recorder import Recorder, use
-from repro.obs.runs import registry_lock
+from repro.obs.runs import _text_digest, registry_lock
 from repro.obs.spans import SpanRecorder
 
 __all__ = [
@@ -579,7 +579,6 @@ class JobManager:
         self._git_sha = current_git_sha()
         self._last_report = None
         self._last_report_text = ""
-        self._last_report_digest = ""
         self._cond = threading.Condition()
         self._records: "OrderedDict[str, JobRecord]" = OrderedDict()
         self._bundles: dict[str, dict] = {}
@@ -886,36 +885,24 @@ class JobManager:
                     report_text = ""
                     if self.run_registry is not None:
                         # One serialization serves both the run
-                        # record's digest and the cached report body —
-                        # the canonical dumps IS what _report_digest
-                        # hashes, and the report cache stores it as-is.
+                        # record's digest and the cached report body.
                         # Same-spec resubmissions (the common retrigger
                         # case) skip even that: an equality check
                         # against the previous report is far cheaper
-                        # than re-rendering it, mirroring the serve
-                        # loop's cached-digest optimization. Safe under
-                        # eval_lock, which is held here.
-                        from repro.core.report_io import report_to_dict
+                        # than re-rendering it. Safe under eval_lock,
+                        # which is held here.
+                        from repro.core.report_io import report_to_json
 
-                        if report == self._last_report:
-                            report_text = self._last_report_text
-                            digest = self._last_report_digest
-                        else:
-                            report_text = json.dumps(
-                                report_to_dict(report), sort_keys=True
-                            )
-                            digest = hashlib.sha256(
-                                report_text.encode("utf-8")
-                            ).hexdigest()[:16]
+                        if report != self._last_report:
                             self._last_report = report
-                            self._last_report_text = report_text
-                            self._last_report_digest = digest
+                            self._last_report_text = report_to_json(report)
+                        report_text = self._last_report_text
                         run = self.run_registry.record(
                             f"{self.run_label}-{record.tenant}",
                             report,
                             recorder,
                             git_sha=self._git_sha,
-                            report_digest=digest,
+                            report_digest=_text_digest(report_text),
                             tenant=record.tenant,
                             job_id=job_id,
                         )

@@ -203,12 +203,16 @@ def _recorder_coverage(recorder) -> dict:
 
 
 def _report_digest(report) -> str:
-    """A stable digest of a report's JSON form (ignores key order)."""
+    """A stable digest of a report's canonical JSON text."""
     # Imported lazily: repro.core imports repro.obs, not the reverse.
-    from repro.core.report_io import report_to_dict
+    from repro.core.report_io import report_to_json
 
-    canonical = json.dumps(report_to_dict(report), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return _text_digest(report_to_json(report))
+
+
+def _text_digest(report_json: str) -> str:
+    """The digest of :func:`~repro.core.report_io.report_to_json` text."""
+    return hashlib.sha256(report_json.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -346,10 +350,10 @@ class RunRegistry:
         """Snapshot one evaluation (its report and its live
         :class:`~repro.obs.recorder.Recorder`) and append it.
 
-        ``report_digest`` lets a caller that already digested the report
-        (the serve loop caches the digest across runs with identical
-        reports) skip re-canonicalizing it — the digest is O(report) and
-        dominates recording cost on large evaluations.
+        ``report_digest`` lets a caller that already holds the report's
+        canonical text (the serve loop and the job manager serialize it
+        once for ``/report``) pass its :func:`_text_digest` instead of
+        serializing the report a second time.
 
         ``profile`` (a sampled :class:`~repro.obs.profiler.Profile`)
         is persisted as a folded-text artifact under
@@ -463,15 +467,6 @@ class RunRegistry:
     # Reading
     # ------------------------------------------------------------------
 
-    def _read_lines(self) -> list[str]:
-        if not self.path.exists():
-            return []
-        return [
-            line
-            for line in self.path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-
     def load(self, tenant: Optional[str] = None) -> tuple[RunRecord, ...]:
         """Every recorded run, oldest first.
 
@@ -487,11 +482,19 @@ class RunRegistry:
         stamp = self._fingerprint()
         if self._cache is not None and stamp == self._cache_stamp:
             return self._cache
+        text = self.path.read_text(encoding="utf-8") if stamp else ""
+        lines = text.splitlines()
         records = []
-        for number, line in enumerate(self._read_lines(), start=1):
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
             try:
                 records.append(RunRecord.from_dict(json.loads(line)))
             except (json.JSONDecodeError, KeyError) as error:
+                if number == len(lines) and not text.endswith("\n"):
+                    # An append still being written: keep the complete
+                    # prefix (the stamp predates the read, so it re-reads).
+                    break
                 raise ReproError(
                     f"{self.path} line {number} is not a valid run record: "
                     f"{error}"

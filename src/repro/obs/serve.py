@@ -105,7 +105,7 @@ from repro.obs.recorder import Recorder, use
 from repro.obs.runs import (
     DEFAULT_RUNS_DIR,
     RunRegistry,
-    _report_digest,
+    _text_digest,
     current_git_sha,
     stage_summary,
 )
@@ -382,7 +382,6 @@ class ServeDaemon:
         self._sosae = None
         self._git_sha: Optional[str] = None
         self._last_report = None
-        self._last_digest: Optional[str] = None
         self._state = _ServeState()
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -474,14 +473,9 @@ class ServeDaemon:
                         report, used_incremental = self._produce_report(
                             previous_sosae, changed_paths, recorder
                         )
-                    # The digest is O(report); between interval runs of
-                    # an unchanged spec the report is identical, so an
-                    # equality check replaces a re-canonicalization.
-                    if (
-                        self._last_digest is None
-                        or report != self._last_report
-                    ):
-                        self._last_digest = _report_digest(report)
+                    # One serialization per cycle: its hash is the run
+                    # digest and the text itself is the /report body.
+                    report_json = report_to_json(report)
                     self._last_report = report
                     self._refresh_tracker(report)
                     record = (
@@ -490,7 +484,7 @@ class ServeDaemon:
                             report,
                             recorder,
                             git_sha=self._git_sha,
-                            report_digest=self._last_digest,
+                            report_digest=_text_digest(report_json),
                             profile=profile,
                         )
                         if self.registry is not None
@@ -574,7 +568,7 @@ class ServeDaemon:
             state.last_run_wall_seconds = wall
             state.consistent = report.consistent
             state.findings = findings
-            state.report_json = report_to_json(report)
+            state.report_json = report_json
             state.metrics_snapshot = snapshot
             state.stages = stage_summary(recorder.roots)
             state.alerts = self.engine.to_dict()
@@ -584,7 +578,6 @@ class ServeDaemon:
                 if self._batch is not None and not used_incremental
                 else ()
             )
-            report_json = state.report_json
         if self.jobs is not None and record is not None:
             # Watched-spec runs join the job runs in the /report/<id>
             # cache, so any recorded run id resolves to its report.

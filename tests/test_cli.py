@@ -213,6 +213,41 @@ class TestEvaluateFromFiles:
         out = capsys.readouterr().out
         assert "no verdict changes" in out
 
+    def test_saved_report_is_canonical_json(
+        self, tmp_path, artifact_files, capsys
+    ):
+        saved = tmp_path / "report.json"
+        assert main(
+            [
+                "evaluate",
+                "--scenarios", str(artifact_files["scenarioml"]),
+                "--architecture", str(artifact_files["xadl"]),
+                "--mapping", str(artifact_files["mapping"]),
+                "--save-report", str(saved),
+            ]
+        ) == 0
+        text = saved.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+
+    def test_indented_baseline_from_older_releases_still_loads(
+        self, tmp_path, artifact_files, capsys
+    ):
+        """Baselines saved before reports became canonical one-line JSON
+        were indented; they compare clean against a fresh report."""
+        base_args = [
+            "evaluate",
+            "--scenarios", str(artifact_files["scenarioml"]),
+            "--architecture", str(artifact_files["xadl"]),
+            "--mapping", str(artifact_files["mapping"]),
+        ]
+        saved = tmp_path / "report.json"
+        assert main([*base_args, "--save-report", str(saved)]) == 0
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(json.loads(saved.read_text()), indent=2))
+        capsys.readouterr()
+        assert main([*base_args, "--baseline", str(legacy)]) == 0
+        assert "no verdict changes" in capsys.readouterr().out
+
 
 class TestObservabilityFlags:
     def test_profile_prints_summary_after_identical_report(self, capsys):
@@ -1078,6 +1113,28 @@ class TestJobsCli:
         assert "done" in out
         report = json.loads(report_path.read_text())
         assert report["architecture"]
+
+    def test_saved_job_report_is_byte_identical_to_save_report(
+        self, job_server, spec_files, tmp_path, capsys
+    ):
+        """One saved-report format: `jobs submit --report` writes the
+        /report body as received, the same bytes as `evaluate
+        --save-report` on the same spec."""
+        _, base = job_server
+        spec_args = [
+            "--scenarios", str(spec_files["scenarios"]),
+            "--architecture", str(spec_files["architecture"]),
+            "--mapping", str(spec_files["mapping"]),
+        ]
+        job_report = tmp_path / "job-report.json"
+        assert main(
+            ["jobs", "submit", "--url", base, "--tenant", "acme",
+             *spec_args, "--wait", "--report", str(job_report)]
+        ) == 0
+        saved = tmp_path / "saved.json"
+        assert main(["evaluate", *spec_args, "--save-report", str(saved)]) == 0
+        capsys.readouterr()
+        assert job_report.read_bytes() == saved.read_bytes()
 
     def test_status_and_list_over_http(
         self, job_server, spec_files, capsys

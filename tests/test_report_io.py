@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.evaluator import Sosae
@@ -9,9 +11,11 @@ from repro.core.mapping import Mapping
 from repro.core.report_io import (
     compare_reports,
     report_from_json,
+    report_to_dict,
     report_to_json,
 )
 from repro.errors import SerializationError
+from repro.obs.runs import _report_digest
 
 
 def evaluate(scenarios, architecture, mapping):
@@ -101,6 +105,40 @@ class TestPersistence:
         )
         with pytest.raises(SerializationError):
             report_from_json(text)
+
+
+def excised_pims_report(pims):
+    architecture = pims.excised_architecture()
+    return Sosae(
+        pims.scenarios,
+        architecture,
+        pims.mapping.rebind(architecture),
+        constraints=pims.constraints,
+        walkthrough_options=pims.options,
+    ).evaluate()
+
+
+class TestCanonicalForm:
+    def test_report_json_is_sorted_one_line_json(self, pims):
+        text = report_to_json(excised_pims_report(pims))
+        assert "\n" not in text
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+
+    def test_run_digest_is_unchanged_across_the_format_change(self, pims):
+        """Run histories recorded before reports were serialized once
+        stay comparable: the digest of the paper's excised PIMS report
+        is the value those histories carry."""
+        assert _report_digest(excised_pims_report(pims)) == "79f4863c21d208f0"
+
+    def test_indented_baseline_loads_and_compares_clean(self, pims):
+        """The indented layout older releases saved still loads, and
+        re-serializes to the canonical text of a fresh report."""
+        report = excised_pims_report(pims)
+        legacy = json.dumps(report_to_dict(report), indent=2)
+        baseline = report_from_json(legacy)
+        assert report_to_json(baseline) == report_to_json(report)
+        comparison = compare_reports(baseline, report)
+        assert comparison.summary() == "no verdict changes"
 
 
 class TestComparison:

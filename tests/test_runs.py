@@ -132,6 +132,23 @@ class TestRunRegistry:
         with pytest.raises(ReproError, match="line 1"):
             registry.load()
 
+    def test_load_skips_an_append_still_being_written(
+        self, tmp_path, recorded_evaluation
+    ):
+        """A reader racing an append (a serve scrape while the loop
+        records) gets the complete records, not a torn-line error."""
+        report, recorder = recorded_evaluation
+        writer = RunRegistry(tmp_path / "runs")
+        writer.record("one", report, recorder, git_sha="abc")
+        line = writer.path.read_text()
+        with writer.path.open("a") as handle:
+            handle.write(line[: len(line) // 2])
+        reader = RunRegistry(tmp_path / "runs")
+        assert [run.label for run in reader.load()] == ["one"]
+        with writer.path.open("a") as handle:
+            handle.write(line[len(line) // 2:])
+        assert [run.label for run in reader.load()] == ["one", "one"]
+
     def test_render_list_shows_every_run(self, tmp_path, recorded_evaluation):
         report, recorder = recorded_evaluation
         registry = RunRegistry(tmp_path / "runs")

@@ -13,7 +13,9 @@ import urllib.request
 
 import pytest
 
+from repro.core import report_io
 from repro.core.evaluator import Sosae
+from repro.core.report_io import report_to_json
 from repro.errors import ReproError
 from repro.obs import (
     AlertRule,
@@ -24,6 +26,7 @@ from repro.obs import (
     SpecWatcher,
     read_sse_events,
 )
+from repro.obs.runs import _report_digest
 
 
 class TestSpecWatcher:
@@ -182,6 +185,43 @@ class TestRunOnce:
             ServeDaemon(build, interval=0.0)
 
 
+@pytest.fixture
+def serializations(monkeypatch):
+    """Every report ``report_to_dict`` is called on, in call order."""
+    calls = []
+    original = report_io.report_to_dict
+
+    def counting(report):
+        calls.append(report)
+        return original(report)
+
+    monkeypatch.setattr(report_io, "report_to_dict", counting)
+    return calls
+
+
+class TestReportSerialization:
+    def test_each_cycle_serializes_the_report_once(
+        self, build, tmp_path, serializations
+    ):
+        daemon = ServeDaemon(build, registry=RunRegistry(tmp_path / "runs"))
+        for _ in range(3):
+            serializations.clear()
+            assert daemon.run_once().ok
+            assert len(serializations) == 1
+
+    def test_report_body_and_run_digest_share_the_canonical_text(
+        self, build, tmp_path
+    ):
+        registry = RunRegistry(tmp_path / "runs")
+        daemon = ServeDaemon(build, registry=registry)
+        outcome = daemon.run_once()
+        report = build().evaluate()
+        assert daemon.report_json() == report_to_json(report)
+        assert registry.get(outcome.run_id).report_digest == (
+            _report_digest(report)
+        )
+
+
 class TestServeLoop:
     def test_max_runs_bounds_the_loop(self, build):
         daemon = ServeDaemon(build, interval=0.001)
@@ -248,6 +288,21 @@ class TestIncrementalServe:
             'sosae_serve_stage_wall_seconds{stage="evaluate.incremental"}'
             in text
         )
+
+    def test_incremental_rebuild_serializes_the_report_once(
+        self, tmp_path, versioned_build, chain_architecture, serializations
+    ):
+        arch_path = tmp_path / "architecture.xml"
+        state, build = versioned_build
+        daemon = ServeDaemon(build, incremental_safe_paths=(arch_path,))
+        daemon.run_once()
+        state["architecture"] = chain_architecture.clone("v2")
+        serializations.clear()
+        outcome = daemon.run_once(rebuild=True, changed_paths=(arch_path,))
+        assert outcome.ok
+        assert daemon.health()["incremental_hits"] == 1
+        assert len(serializations) == 1
+        assert daemon.report_json() == report_to_json(serializations[0])
 
     def test_unsafe_path_edit_falls_back_to_full(
         self, tmp_path, versioned_build, chain_architecture
@@ -612,8 +667,11 @@ class TestScrapeUnderLoad:
         # property — two threads' reads interleave arbitrarily
         per_thread = [[], [], [], []]
         stop = threading.Event()
+        # Each scraper signals its first answered request; the runs
+        # start only then, so every scraper overlaps them.
+        answered = [threading.Event() for _ in per_thread]
 
-        def hammer(path, counters):
+        def hammer(path, counters, first_read):
             pattern = re.compile(r"sosae_serve_runs_total (\d+)")
             while not stop.is_set():
                 try:
@@ -630,17 +688,21 @@ class TestScrapeUnderLoad:
                         failures.append("/metrics: runs counter missing")
                         return
                     counters.append(int(match.group(1)))
+                first_read.set()
 
         threads = [
-            threading.Thread(target=hammer, args=(path, counters))
-            for path, counters in zip(
+            threading.Thread(target=hammer, args=(path, counters, first_read))
+            for path, counters, first_read in zip(
                 ("/metrics", "/metrics", "/healthz", "/healthz"),
                 per_thread,
+                answered,
             )
         ]
         try:
             for thread in threads:
                 thread.start()
+            for first_read in answered:
+                first_read.wait(timeout=10)
             for _ in range(8):
                 daemon.run_once()
         finally:

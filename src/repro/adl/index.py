@@ -17,10 +17,12 @@ and directed communication graphs **once** per architecture and memoizes
 
 Correctness under mutation is preserved by keying every answer to a
 *structural fingerprint* of the architecture — element names, interface
-directions, and link endpoints. Each query recomputes the fingerprint
-(cheap: one tuple build, no graph objects) and drops every cache the
+directions, and link endpoints. A lone query recomputes the fingerprint
+(one tuple build over the whole architecture) and drops every cache the
 moment it differs, so mutate-then-requery through the same index stays
 correct without any registration protocol on :class:`Architecture`.
+Batch entry points validate once instead: see
+:meth:`CommunicationIndex.pinned`.
 
 ``avoiding``/``via`` queries never mutate cached graphs: excised elements
 are hidden through :func:`networkx.restricted_view`, a read-only overlay,
@@ -197,6 +199,9 @@ class CommunicationIndex:
         self.memoize = memoize
         self._fingerprint: Optional[tuple] = None
         self._graphs: dict[bool, nx.MultiGraph | nx.MultiDiGraph] = {}
+        # Plain successor tuples per direction for the inter-event search;
+        # networkx builds an AtlasView on every `graph.adj[node]`.
+        self._adjacency: dict[bool, dict[str, tuple[str, ...]]] = {}
         self._trees: dict[tuple[bool, str], dict[str, list[str]]] = {}
         self._reachable: dict[tuple[bool, str], frozenset[str]] = {}
         self._best_paths: dict[tuple, Optional[tuple[str, ...]]] = {}
@@ -232,6 +237,7 @@ class CommunicationIndex:
                 self._invalidations += 1
             self._fingerprint = fingerprint
             self._graphs.clear()
+            self._adjacency.clear()
             self._trees.clear()
             self._reachable.clear()
             self._best_paths.clear()
@@ -244,10 +250,10 @@ class CommunicationIndex:
         the ``with`` block without re-checking for mutation.
 
         The caller promises not to mutate the architecture while the pin
-        is held — the natural unit is one scenario walk, during which the
-        evaluation never mutates its inputs. Pins nest, and a nested pin
-        is covered by the outer holder's promise, so only the outermost
-        entry validates; queries made outside any pin always re-validate.
+        is held. Batch entry points pin for one call — ``Sosae.evaluate``
+        (every stage), ``reevaluate``, ``DependencyTracker.from_report``,
+        ``walk_all``, the shard worker; a lone query re-validates. Pins
+        nest; only the outermost entry validates.
         """
         if self.memoize and not self._pins:
             self._validate_fingerprint()
@@ -278,6 +284,22 @@ class CommunicationIndex:
         else:
             self._hits += 1
         return graph
+
+    def _successors(self, directed: bool):
+        """``{node: successor tuple}`` in ``graph.adj`` order. A cached
+        lookup counts one hit, like the :meth:`_graph` lookup it replaces."""
+        if not self.memoize:
+            return self._graph(directed).adj
+        adjacency = self._adjacency.get(directed)
+        if adjacency is None:
+            adjacency = {
+                node: tuple(neighbors)
+                for node, neighbors in self._graph(directed).adj.items()
+            }
+            self._adjacency[directed] = adjacency
+        else:
+            self._hits += 1
+        return adjacency
 
     def graph(self, respect_directions: bool = False):
         """The (cached) communication graph. **Read-only** — queries with
@@ -421,7 +443,7 @@ class CommunicationIndex:
             self._hits += 1
             return self._best_paths[key]
         result = self._multi_source_bfs(
-            self._graph(respect_directions), sources, target_set
+            self._successors(respect_directions), sources, target_set
         )
         if self.memoize:
             self._best_paths[key] = result
@@ -429,12 +451,12 @@ class CommunicationIndex:
 
     @staticmethod
     def _multi_source_bfs(
-        graph, sources: Sequence[str], target_set: set[str]
+        adjacency, sources: Sequence[str], target_set: set[str]
     ) -> Optional[tuple[str, ...]]:
         parents: dict[str, Optional[str]] = {}
         queue: deque[str] = deque()
         for source in sources:
-            if source in graph and source not in parents:
+            if source in adjacency and source not in parents:
                 parents[source] = None
                 queue.append(source)
         while queue:
@@ -446,7 +468,7 @@ class CommunicationIndex:
                     hops.append(walk)
                     walk = parents[walk]
                 return tuple(reversed(hops))
-            for neighbor in graph.adj[node]:
+            for neighbor in adjacency[node]:
                 if neighbor not in parents:
                     parents[neighbor] = node
                     queue.append(neighbor)

@@ -288,58 +288,61 @@ class Sosae:
         recorder = current_recorder()
         bus = current_event_bus()
         findings: list[Inconsistency] = []
-        with self._staged(recorder, bus, "validation", findings):
-            findings.extend(self._validation_findings())
-        with self._staged(recorder, bus, "style_check", findings):
-            findings.extend(self._style_findings())
-        with self._staged(recorder, bus, "coverage", findings):
-            findings.extend(self._coverage_findings())
-        with self._staged(
-            recorder, bus, "constraints", findings,
-            constraints=len(self.constraints),
-        ):
-            findings.extend(
-                check_constraints(self.architecture, self.constraints)
-            )
-        if self.behavior_options is not None:
-            with self._staged(recorder, bus, "behavior_check", findings):
+        # One pin per evaluation: no stage mutates the architecture, so
+        # one fingerprint at entry covers every query of every stage.
+        with self.index.pinned():
+            with self._staged(recorder, bus, "validation", findings):
+                findings.extend(self._validation_findings())
+            with self._staged(recorder, bus, "style_check", findings):
+                findings.extend(self._style_findings())
+            with self._staged(recorder, bus, "coverage", findings):
+                findings.extend(self._coverage_findings())
+            with self._staged(
+                recorder, bus, "constraints", findings,
+                constraints=len(self.constraints),
+            ):
                 findings.extend(
-                    check_behavioral_support(
-                        self.scenario_set,
-                        self.architecture,
-                        self.mapping,
-                        self.behavior_options,
-                    )
+                    check_constraints(self.architecture, self.constraints)
                 )
+            if self.behavior_options is not None:
+                with self._staged(recorder, bus, "behavior_check", findings):
+                    findings.extend(
+                        check_behavioral_support(
+                            self.scenario_set,
+                            self.architecture,
+                            self.mapping,
+                            self.behavior_options,
+                        )
+                    )
 
-        selected = self._selected_scenarios(scenario_names)
-        verdict_list: list[ScenarioVerdict] = []
-        walk_findings = 0
-        with self._staged(
-            recorder, bus, "walkthrough", None, scenarios=len(selected)
-        ) as stage_findings:
-            for scenario in selected:
-                verdict = self._walk(scenario)
-                verdict_list.append(verdict)
-                verdict_findings = verdict.all_inconsistencies()
-                walk_findings += len(verdict_findings)
-                if bus.enabled:
-                    for finding in verdict_findings:
-                        self._emit_finding(bus, finding)
-            stage_findings["count"] = walk_findings
-        verdicts = tuple(verdict_list)
+            selected = self._selected_scenarios(scenario_names)
+            verdict_list: list[ScenarioVerdict] = []
+            walk_findings = 0
+            with self._staged(
+                recorder, bus, "walkthrough", None, scenarios=len(selected)
+            ) as stage_findings:
+                for scenario in selected:
+                    verdict = self._walk(scenario)
+                    verdict_list.append(verdict)
+                    verdict_findings = verdict.all_inconsistencies()
+                    walk_findings += len(verdict_findings)
+                    if bus.enabled:
+                        for finding in verdict_findings:
+                            self._emit_finding(bus, finding)
+                stage_findings["count"] = walk_findings
+            verdicts = tuple(verdict_list)
 
-        dynamic_verdicts: tuple[DynamicVerdict, ...] = ()
-        if include_dynamic:
-            with self._staged(recorder, bus, "dynamic", None):
-                dynamic_verdicts = self._run_dynamic(dynamic_scenarios)
+            dynamic_verdicts: tuple[DynamicVerdict, ...] = ()
+            if include_dynamic:
+                with self._staged(recorder, bus, "dynamic", None):
+                    dynamic_verdicts = self._run_dynamic(dynamic_scenarios)
 
-        return EvaluationReport(
-            architecture=self.architecture.name,
-            scenario_verdicts=verdicts,
-            findings=tuple(findings),
-            dynamic_verdicts=dynamic_verdicts,
-        )
+            return EvaluationReport(
+                architecture=self.architecture.name,
+                scenario_verdicts=verdicts,
+                findings=tuple(findings),
+                dynamic_verdicts=dynamic_verdicts,
+            )
 
     @contextmanager
     def _staged(

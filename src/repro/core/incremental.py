@@ -28,10 +28,10 @@ each scenario's verdict actually consumed:
   destroy it), so additions dirty only them.
 
 :meth:`DependencyTracker.dirty_scenarios` then computes the dirty set
-from an :class:`~repro.adl.diff.ArchitectureDiff` in time proportional to
-the diff and the per-scenario dependency sets — no communication index is
-built, no reachability set is compared. See ``docs/INCREMENTAL.md`` for
-the soundness argument.
+from an :class:`~repro.adl.diff.ArchitectureDiff` in one pass over the
+tracked scenarios, testing its dependency sets against the diff — no
+communication index is built, no reachability set is compared. See
+``docs/INCREMENTAL.md`` for the soundness argument.
 
 **Trace-link impact** (:func:`impacted_scenario_names`, the fallback
 when no tracker is available). Reachability sets are compared between the
@@ -177,7 +177,7 @@ class DependencyTracker:
     per-architecture cache). :meth:`dirty_scenarios` then turns any
     :class:`~repro.adl.diff.ArchitectureDiff` — and optionally an edited
     mapping — into the exact set of scenarios whose verdicts may change,
-    in time proportional to the diff.
+    in one allocation-free pass over the tracked scenarios.
     """
 
     def __init__(
@@ -321,6 +321,9 @@ class DependencyTracker:
         keep their witness paths intact, its failing checks cannot be
         repaired without an addition, and its mapping resolutions are
         untouched.
+
+        Cost: one allocation-free ``isdisjoint`` pass over the scenarios;
+        element tests run only if the diff removes or re-interfaces one.
         """
         removed_elements = set(diff.removed_components)
         removed_elements.update(diff.removed_connectors)
@@ -344,15 +347,18 @@ class DependencyTracker:
             if mapping is not None
             else frozenset()
         )
+        touching = removed_elements | interface_changed
         dirty: set[str] = set()
         for name, deps in self._scenarios.items():
-            touched = deps.witness_elements | deps.components
             if (
-                (removed_elements & touched)
-                or (interface_changed & touched)
-                or (removed_pairs & deps.witness_edges)
+                (touching and not touching.isdisjoint(deps.components))
+                or (
+                    touching
+                    and not touching.isdisjoint(deps.witness_elements)
+                )
+                or not removed_pairs.isdisjoint(deps.witness_edges)
                 or (has_additions and deps.addition_sensitive)
-                or (changed_types & deps.event_types)
+                or not changed_types.isdisjoint(deps.event_types)
             ):
                 dirty.add(name)
         return frozenset(dirty)
@@ -460,7 +466,7 @@ def reevaluate(
 
     With a ``tracker`` (built by :meth:`DependencyTracker.from_report`
     against ``old_architecture``), the dirty set is computed from the
-    recorded dependency edges in time proportional to the diff —
+    recorded dependency edges in one pass over the tracked scenarios —
     including mapping-entry edits, which the trace-link fallback cannot
     see. A tracker recorded against a different architecture raises
     :class:`StaleTrackerError` (callers should fall back to a full

@@ -157,9 +157,9 @@ class WalkthroughEngine:
     ) -> ScenarioVerdict:
         """Walk every bounded trace of one scenario.
 
-        The architecture must not be mutated while the walk is in flight
-        (the communication index is pinned for the walk's duration);
-        mutations between walks are picked up automatically."""
+        The architecture must not be mutated while the walk is in flight.
+        Batch callers pin the index around the batch; a lone walk's queries
+        each re-validate. Mutations between walks are picked up."""
         traces = scenario_set.traces(scenario.name, self.options.trace_options)
         recorder = current_recorder()
         bus = current_event_bus()
@@ -172,46 +172,45 @@ class WalkthroughEngine:
                 )
             )
         started = time.perf_counter()
-        with self.index.pinned():
-            if recorder.enabled:
-                with recorder.span(
-                    "walkthrough.scenario",
-                    scenario=scenario.name,
-                    negative=scenario.is_negative,
-                    traces=len(traces),
-                ) as scenario_span:
-                    stats_before = self.index.stats()
-                    walked = tuple(
-                        self._walk_trace(scenario, index, trace)
-                        for index, trace in enumerate(traces)
-                    )
-                    # Per-scenario work-unit attribution: what this
-                    # scenario *cost*, as span attributes, so run records
-                    # and `sosae runs attribute` can rank regressions by
-                    # cause, not just by wall time.
-                    stats_after = self.index.stats()
-                    scenario_span.set_attribute(
-                        "cost.steps",
-                        sum(len(walk.steps) for walk in walked),
-                    )
-                    scenario_span.set_attribute(
-                        "cost.index_queries",
-                        (stats_after.hits + stats_after.misses)
-                        - (stats_before.hits + stats_before.misses),
-                    )
-                    scenario_span.set_attribute(
-                        "cost.bfs_expansions",
-                        stats_after.misses - stats_before.misses,
-                    )
-                    scenario_span.set_attribute(
-                        "cost.findings",
-                        sum(len(walk.inconsistencies) for walk in walked),
-                    )
-            else:
+        if recorder.enabled:
+            with recorder.span(
+                "walkthrough.scenario",
+                scenario=scenario.name,
+                negative=scenario.is_negative,
+                traces=len(traces),
+            ) as scenario_span:
+                stats_before = self.index.stats()
                 walked = tuple(
                     self._walk_trace(scenario, index, trace)
                     for index, trace in enumerate(traces)
                 )
+                # Per-scenario work-unit attribution: what this
+                # scenario *cost*, as span attributes, so run records
+                # and `sosae runs attribute` can rank regressions by
+                # cause, not just by wall time.
+                stats_after = self.index.stats()
+                scenario_span.set_attribute(
+                    "cost.steps",
+                    sum(len(walk.steps) for walk in walked),
+                )
+                scenario_span.set_attribute(
+                    "cost.index_queries",
+                    (stats_after.hits + stats_after.misses)
+                    - (stats_before.hits + stats_before.misses),
+                )
+                scenario_span.set_attribute(
+                    "cost.bfs_expansions",
+                    stats_after.misses - stats_before.misses,
+                )
+                scenario_span.set_attribute(
+                    "cost.findings",
+                    sum(len(walk.inconsistencies) for walk in walked),
+                )
+        else:
+            walked = tuple(
+                self._walk_trace(scenario, index, trace)
+                for index, trace in enumerate(traces)
+            )
         verdict = ScenarioVerdict(
             scenario=scenario.name,
             traces=walked,

@@ -245,9 +245,16 @@ class TestIndexedAnswersMatchFreshBfs:
                 ) == cold.reachable(
                     source, respect_directions=respect_directions
                 )
-        assert warm.best_path_between(names[:2], names[-2:]) == (
-            cold.best_path_between(names[:2], names[-2:])
-        )
+        # The warm search runs on cached successor tuples, the cold one on
+        # graph.adj: same neighbor order, so the same witness path.
+        groups = [names[:2], names[-2:], names[2:5]]
+        for sources, targets in itertools.product(groups, groups):
+            for respect_directions in (False, True):
+                assert warm.best_path_between(
+                    sources, targets, respect_directions=respect_directions
+                ) == cold.best_path_between(
+                    sources, targets, respect_directions=respect_directions
+                )
         assert warm.articulation_components() == cold.articulation_components()
         assert warm.is_fully_connected() == cold.is_fully_connected()
 

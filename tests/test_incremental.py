@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.adl.diff import diff_architectures
+from repro.adl.diff import ArchitectureDiff, PropertyChange, diff_architectures
 from repro.core.constraints import MustNotCommunicate, RequiresPath
 from repro.core.evaluator import Sosae
 from repro.core.incremental import (
@@ -241,6 +241,46 @@ class TestDependencyTracker:
         )
         # Only drop-widget resolves through 'destroy'.
         assert tracker.dirty_scenarios(diff, edited) == {"drop-widget"}
+
+    def test_element_removal_and_interface_change_dirty_their_users(
+        self, pims
+    ):
+        """Each element removed (or with changed interfaces) dirties
+        exactly the scenarios mapped to it or witnessing a path through
+        it; an interface change also dirties the addition-sensitive."""
+        previous = Sosae(
+            pims.scenarios,
+            pims.architecture,
+            pims.mapping,
+            walkthrough_options=pims.options,
+        ).evaluate()
+        tracker = DependencyTracker.from_report(
+            previous, pims.architecture, pims.mapping, pims.options
+        )
+        deps = [tracker.dependencies_for(n) for n in tracker.scenario_names]
+        for element in pims.architecture.components:
+            removed = ArchitectureDiff(removed_components=(element.name,))
+            users = {
+                d.scenario
+                for d in deps
+                if element.name in d.witness_elements | d.components
+            }
+            assert tracker.dirty_scenarios(removed) == users
+            flipped = ArchitectureDiff(
+                changed_elements=(
+                    PropertyChange(element.name, "interfaces", "in", "out"),
+                )
+            )
+            assert tracker.dirty_scenarios(flipped) == users | {
+                d.scenario for d in deps if d.addition_sensitive
+            }
+        for connector in pims.architecture.connectors:
+            removed = ArchitectureDiff(removed_connectors=(connector.name,))
+            assert tracker.dirty_scenarios(removed) == {
+                d.scenario
+                for d in deps
+                if connector.name in d.witness_elements
+            }
 
     def test_stale_tracker_raises(
         self, small_scenarios, chain_architecture, chain_mapping

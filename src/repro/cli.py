@@ -127,6 +127,7 @@ from repro.obs import (
     chrome_trace_json,
     compact_job_logs,
     configure_logging,
+    current_git_sha,
     diff_coverage,
     diff_profiles,
     diff_runs,
@@ -1138,7 +1139,9 @@ def _record_run(
     if not args.record or obs.recorder is None:
         return
     registry = RunRegistry(args.runs_dir)
-    record = registry.record(label, report, obs.recorder, profile=obs.profile)
+    record = registry.record(
+        label, report, obs.recorder, current_git_sha(), profile=obs.profile
+    )
     _LOG.info(
         "recorded run %s (%s) under %s", record.run_id, label, registry.root
     )
@@ -1738,15 +1741,10 @@ def _run_dashboard(args: argparse.Namespace) -> int:
         else None
     )
     registry = RunRegistry(args.runs_dir)
-    runs = registry.load() if registry.path.exists() else ()
-    jobs_registry = JobRegistry(
+    runs = registry.load()
+    jobs = JobRegistry(
         args.jobs_dir if args.jobs_dir is not None else args.runs_dir
-    )
-    jobs = (
-        jobs_registry.jobs(args.tenant)
-        if jobs_registry.path.exists()
-        else ()
-    )
+    ).jobs(args.tenant)
     profile_before = (
         _resolve_profile(args.profile_before, args.runs_dir)
         if args.profile_before is not None

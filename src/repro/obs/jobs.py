@@ -14,8 +14,8 @@ idiom (``docs/JOBS.md`` documents the formats):
 
 * :class:`JobRegistry` — ``.repro-runs/jobs.jsonl``, one
   :class:`JobRecord` line *per transition* (the latest line per job id
-  wins on load), cached against the file's (mtime_ns, size)
-  fingerprint exactly like :class:`~repro.obs.runs.RunRegistry`.
+  wins on load). Like ``runs.jsonl`` and ``audit.jsonl`` it is a
+  crash-consistent :class:`~repro.obs.jsonl.JsonlLog`.
 * :class:`AuditLog` — ``.repro-runs/audit.jsonl``, one line per
   transition recording who (actor), what (job, tenant, transition,
   spec digest), and when. Never read on the hot path; append-only.
@@ -59,6 +59,7 @@ from repro.obs.events import (
     JobSubmitted,
     use_events,
 )
+from repro.obs.jsonl import JsonlLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promexp import (
     DEFAULT_LABEL_TOP_K,
@@ -66,7 +67,7 @@ from repro.obs.promexp import (
     bounded_label_values,
 )
 from repro.obs.recorder import Recorder, use
-from repro.obs.runs import _text_digest, registry_lock
+from repro.obs.runs import _text_digest
 from repro.obs.spans import SpanRecorder
 
 __all__ = [
@@ -253,69 +254,45 @@ class JobRecord:
         )
 
 
-class JobRegistry:
-    """The append-only job store: one record line per transition.
+def _collapse(rows, ids: list, stale: frozenset) -> list:
+    """``rows`` (whose job ids are ``ids``) keeping only the last line of
+    each ``stale`` job; every other job's lines survive verbatim."""
+    last = {job_id: index for index, job_id in enumerate(ids)}
+    return [
+        row
+        for index, (row, job_id) in enumerate(zip(rows, ids))
+        if job_id not in stale or last[job_id] == index
+    ]
 
-    ``load()`` replays the file and keeps the *latest* line per job id
-    (submission order preserved), cached against the (mtime_ns, size)
-    fingerprint like :class:`~repro.obs.runs.RunRegistry` — the job
-    API polls this on every ``GET /jobs``.
-    """
+
+class JobRegistry:
+    """The append-only job store: one record line per transition, on a
+    :class:`~repro.obs.jsonl.JsonlLog`; the latest line per job wins."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self._lock = threading.Lock()
-        self._cache: Optional[tuple[JobRecord, ...]] = None
-        self._cache_stamp: Optional[tuple[int, int]] = None
+        self.log = JsonlLog(
+            self.root / _JOBS_FILE,
+            decode=JobRecord.from_dict,
+            encode=JobRecord.to_dict,
+            kind="job record",
+        )
 
     @property
     def path(self) -> Path:
-        return self.root / _JOBS_FILE
-
-    def _fingerprint(self) -> Optional[tuple[int, int]]:
-        try:
-            stat = self.path.stat()
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
+        return self.log.path
 
     def append(self, record: JobRecord) -> None:
-        """Persist one transition (thread-safe; executors and the
-        submission path append concurrently)."""
-        with self._lock:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(record.to_dict(), sort_keys=True) + "\n"
-                )
-            self._cache = None
-            self._cache_stamp = None
+        """Persist one transition (executors and the submission path
+        append concurrently)."""
+        self.log.append(record)
 
     def load(self) -> tuple[JobRecord, ...]:
         """Latest state per job, in first-submission order."""
-        with self._lock:
-            stamp = self._fingerprint()
-            if self._cache is not None and stamp == self._cache_stamp:
-                return self._cache
-            latest: "OrderedDict[str, JobRecord]" = OrderedDict()
-            if self.path.exists():
-                text = self.path.read_text(encoding="utf-8")
-                for number, line in enumerate(text.splitlines(), start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = JobRecord.from_dict(json.loads(line))
-                    except (json.JSONDecodeError, KeyError) as error:
-                        raise ReproError(
-                            f"{self.path} line {number} is not a valid "
-                            f"job record: {error}"
-                        ) from None
-                    # Latest transition wins; dict insertion order (=
-                    # first submission) is kept for already-seen ids.
-                    latest[record.job_id] = record
-            self._cache = tuple(latest.values())
-            self._cache_stamp = stamp
-            return self._cache
+        # Latest transition wins; dict insertion order (= first
+        # submission) is kept for already-seen ids.
+        latest = {record.job_id: record for record in self.log.records()}
+        return tuple(latest.values())
 
     def compact(
         self, keep_days: float, now: Optional[float] = None
@@ -324,10 +301,8 @@ class JobRegistry:
         more than ``keep_days`` ago, drop its intermediate transition
         lines and keep only the latest (the one ``load()`` uses anyway).
         Non-terminal and recent jobs keep their full transition history.
-
-        Atomic (temp file + rename) and serve-safe: holds the same
-        cross-process :func:`~repro.obs.runs.registry_lock` appenders
-        hold, so a concurrent transition append cannot be lost.
+        Atomic, and under the lock appenders hold, so a concurrent
+        transition append cannot be lost.
 
         Returns ``(stale_job_ids, stats)`` — the ids whose history was
         collapsed (the audit log compacts the same set) and
@@ -337,54 +312,22 @@ class JobRegistry:
                 f"jobs compact needs keep-days >= 0, got {keep_days}"
             )
         horizon = (time.time() if now is None else now) - keep_days * 86400.0
-        with registry_lock(self.root), self._lock:
-            rows: list[tuple[str, str]] = []  # (job_id, raw line)
-            latest_by_id: dict[str, JobRecord] = {}
-            last_index: dict[str, int] = {}
-            if self.path.exists():
-                text = self.path.read_text(encoding="utf-8")
-                for number, line in enumerate(text.splitlines(), start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = JobRecord.from_dict(json.loads(line))
-                    except (json.JSONDecodeError, KeyError) as error:
-                        raise ReproError(
-                            f"{self.path} line {number} is not a valid "
-                            f"job record: {error}"
-                        ) from None
-                    latest_by_id[record.job_id] = record
-                    last_index[record.job_id] = len(rows)
-                    rows.append((record.job_id, line))
-            stale: frozenset = frozenset()
-            dropped = 0
-            if rows:
-                stale = frozenset(
-                    job_id
-                    for job_id, record in latest_by_id.items()
-                    if record.terminal
-                    and record.finished_at
-                    and record.finished_at < horizon
-                )
-                kept_lines = [
-                    line
-                    for index, (job_id, line) in enumerate(rows)
-                    if job_id not in stale or index == last_index[job_id]
-                ]
-                dropped = len(rows) - len(kept_lines)
-                if dropped:
-                    staging = self.path.with_name(self.path.name + ".tmp")
-                    staging.write_text(
-                        "".join(line + "\n" for line in kept_lines),
-                        encoding="utf-8",
-                    )
-                    staging.replace(self.path)
-                self._cache = None
-                self._cache_stamp = None
-            return stale, {
-                "jobs_kept": len(rows) - dropped,
-                "jobs_dropped": dropped,
-            }
+        # Terminal is final, so stale ids read outside the lock stay
+        # stale; the rewrite itself re-reads under the lock.
+        stale = frozenset(
+            record.job_id
+            for record in self.load()
+            if record.terminal
+            and record.finished_at
+            and record.finished_at < horizon
+        )
+        before, after = self.log.rewrite(
+            lambda rows: _collapse(rows, [row.job_id for row in rows], stale)
+        )
+        return stale, {
+            "jobs_kept": len(after),
+            "jobs_dropped": len(before) - len(after),
+        }
 
     def jobs(self, tenant: Optional[str] = None) -> tuple[JobRecord, ...]:
         records = self.load()
@@ -406,11 +349,11 @@ class AuditLog:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self._lock = threading.Lock()
+        self.log = JsonlLog(self.root / _AUDIT_FILE, kind="audit entry")
 
     @property
     def path(self) -> Path:
-        return self.root / _AUDIT_FILE
+        return self.log.path
 
     def append(
         self,
@@ -423,7 +366,7 @@ class AuditLog:
         spec_digest: str = "",
         detail: str = "",
     ) -> None:
-        entry = {
+        self.log.append({
             "timestamp": timestamp,
             "actor": actor or "anonymous",
             "tenant": tenant,
@@ -431,53 +374,25 @@ class AuditLog:
             "transition": transition,
             "spec_digest": spec_digest,
             "detail": detail,
-        }
-        with self._lock:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        })
 
     def entries(self) -> tuple[dict, ...]:
         """Every audit entry, oldest first."""
-        if not self.path.exists():
-            return ()
-        rows = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                rows.append(json.loads(line))
-        return tuple(rows)
+        return self.log.records()
 
     def compact(self, job_ids: frozenset) -> dict:
         """Collapse the trail for ``job_ids`` to one line each (the
         final transition). Entries for any other job survive verbatim.
-        Atomic via temp file + rename, under the same cross-process
-        lock appenders take."""
-        with registry_lock(self.root), self._lock:
-            if not self.path.exists() or not job_ids:
-                return {"audit_kept": len(self.entries()), "audit_dropped": 0}
-            rows: list[tuple[str, str]] = []  # (job_id, raw line)
-            last_index: dict[str, int] = {}
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                job_id = json.loads(line).get("job_id", "")
-                if job_id in job_ids:
-                    last_index[job_id] = len(rows)
-                rows.append((job_id, line))
-            kept = [
-                line
-                for index, (job_id, line) in enumerate(rows)
-                if job_id not in job_ids or index == last_index[job_id]
-            ]
-            dropped = len(rows) - len(kept)
-            if dropped:
-                staging = self.path.with_name(self.path.name + ".tmp")
-                staging.write_text(
-                    "".join(line + "\n" for line in kept),
-                    encoding="utf-8",
-                )
-                staging.replace(self.path)
-            return {"audit_kept": len(kept), "audit_dropped": dropped}
+        Atomic, and under the lock appenders hold."""
+        before, after = self.log.rewrite(
+            lambda rows: _collapse(
+                rows, [row.get("job_id", "") for row in rows], job_ids
+            )
+        )
+        return {
+            "audit_kept": len(after),
+            "audit_dropped": len(before) - len(after),
+        }
 
 
 def compact_job_logs(
@@ -488,9 +403,8 @@ def compact_job_logs(
 ) -> dict:
     """Retention pass over both job stores: jobs whose latest record is
     terminal and older than ``keep_days`` keep only their final
-    ``jobs.jsonl`` line and final audit entry. The two rewrites take
-    the shared file lock sequentially (never nested — flock on the same
-    sidecar self-deadlocks within one process)."""
+    ``jobs.jsonl`` line and final audit entry. Each rewrite holds only
+    its own log's lock; neither nests in the other."""
     stale, stats = registry.compact(keep_days, now=now)
     stats.update(audit.compact(stale))
     stats["stale_jobs"] = len(stale)

@@ -26,23 +26,18 @@ only counted against the exit status — when an explicit
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import subprocess
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
+from typing import Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.obs.anomaly import DEFAULT_ANOMALY_THRESHOLD, detect_step
 from repro.obs.events import RunRecorded, current_event_bus
+from repro.obs.jsonl import JsonlLog
 from repro.obs.profiler import Profile
 from repro.obs.spans import Span
 
@@ -61,7 +56,6 @@ __all__ = [
     "current_git_sha",
     "diff_runs",
     "record_metric_value",
-    "registry_lock",
     "scenario_costs",
     "stage_summary",
 ]
@@ -70,28 +64,6 @@ DEFAULT_RUNS_DIR = ".repro-runs"
 _RUNS_FILE = "runs.jsonl"
 _PROFILES_DIR = "profiles"
 _FORMAT_VERSION = 1
-
-
-@contextmanager
-def registry_lock(root: Union[str, Path]) -> Iterator[None]:
-    """An exclusive cross-process lock on a registry directory.
-
-    Appenders (a serve daemon recording runs, job executors persisting
-    transitions) and compactors (``sosae runs/jobs compact``) both take
-    it, so a compaction's read-rewrite-rename cannot interleave with a
-    concurrent append and drop the appended line. Advisory ``flock`` on
-    a sidecar ``.lock`` file; a no-op where ``fcntl`` is unavailable."""
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    handle = (root / ".lock").open("a+", encoding="utf-8")
-    try:
-        if fcntl is not None:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        yield
-    finally:
-        if fcntl is not None:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-        handle.close()
 
 
 def current_git_sha(cwd: Optional[Path] = None) -> Optional[str]:
@@ -299,23 +271,23 @@ class RunRecord:
 
 
 class RunRegistry:
-    """The append-only JSONL store under ``.repro-runs/``.
-
-    Parsed records are cached against the file's (mtime_ns, size)
-    fingerprint, so the serve loop — which records a run and then reads
-    the window back for SLO rules, every run — stays O(new records)
-    instead of re-parsing the whole history each cycle. Out-of-process
-    appends change the fingerprint and invalidate the cache.
-    """
+    """The append-only JSONL store under ``.repro-runs/``. Its
+    :class:`~repro.obs.jsonl.JsonlLog` caches parsed records, so the
+    serve loop, which records a run and reads the window back every
+    cycle, stays O(new records)."""
 
     def __init__(self, root: Union[str, Path] = DEFAULT_RUNS_DIR) -> None:
         self.root = Path(root)
-        self._cache: Optional[tuple[RunRecord, ...]] = None
-        self._cache_stamp: Optional[tuple[int, int]] = None
+        self.log = JsonlLog(
+            self.root / _RUNS_FILE,
+            decode=RunRecord.from_dict,
+            encode=RunRecord.to_dict,
+            kind="run record",
+        )
 
     @property
     def path(self) -> Path:
-        return self.root / _RUNS_FILE
+        return self.log.path
 
     @property
     def profiles_dir(self) -> Path:
@@ -323,13 +295,6 @@ class RunRegistry:
 
     def profile_path(self, run_id: str) -> Path:
         return self.profiles_dir / f"{run_id}.folded"
-
-    def _fingerprint(self) -> Optional[tuple[int, int]]:
-        try:
-            stat = self.path.stat()
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
 
     # ------------------------------------------------------------------
     # Recording
@@ -350,6 +315,7 @@ class RunRegistry:
         """Snapshot one evaluation (its report and its live
         :class:`~repro.obs.recorder.Recorder`) and append it.
 
+        ``git_sha`` is stored as given: this never runs ``git``.
         ``report_digest`` lets a caller that already holds the report's
         canonical text (the serve loop and the job manager serialize it
         once for ``/report``) pass its :func:`_text_digest` instead of
@@ -361,26 +327,21 @@ class RunRegistry:
         digest pointer, keeping ``runs.jsonl`` lines small.
         """
         roots = tuple(recorder.roots)
-        # Next id = highest existing numeric id + 1, NOT line count:
-        # after `runs compact` the file holds fewer lines than the
-        # highest id, and counting would mint colliding ids.
-        run_id = f"r{_next_run_number(self._load_all()):04d}"
-        profile_pointer: dict = {}
+        folded = ""
+        pointer: dict = {}
         if profile is not None:
             folded = profile.to_folded()
-            self.profiles_dir.mkdir(parents=True, exist_ok=True)
-            self.profile_path(run_id).write_text(folded, encoding="utf-8")
-            profile_pointer = {
+            pointer = {
                 "digest": profile.digest(),
                 "samples": profile.samples,
                 "stacks": len(profile.counts),
                 "hz": profile.hz,
             }
-        record = RunRecord(
-            run_id=run_id,
+        draft = RunRecord(
+            run_id="",
             label=label,
             timestamp=time.time() if timestamp is None else timestamp,
-            git_sha=git_sha if git_sha is not None else current_git_sha(),
+            git_sha=git_sha,
             wall_seconds=sum(root.wall_seconds for root in roots),
             consistent=report.consistent,
             scenarios_passed=len(report.passed_scenarios),
@@ -394,7 +355,7 @@ class RunRegistry:
             metrics=recorder.metrics.to_dict(),
             stages=stage_summary(roots),
             scenarios=scenario_costs(roots),
-            profile=profile_pointer,
+            profile=pointer,
             tenant=tenant,
             job_id=job_id,
             # The evaluation pipeline attaches its finalized
@@ -402,15 +363,17 @@ class RunRegistry:
             # without one (incremental fast path) carry none.
             coverage=_recorder_coverage(recorder),
         )
-        self.root.mkdir(parents=True, exist_ok=True)
-        with registry_lock(self.root):
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(record.to_dict(), sort_keys=True) + "\n"
-                )
-        if self._cache is not None:
-            self._cache = self._cache + (record,)
-            self._cache_stamp = self._fingerprint()
+
+        def mint(records: tuple[RunRecord, ...]) -> RunRecord:
+            # Under the log's lock, from the highest id, NOT the line
+            # count: after `runs compact` fewer lines than ids remain.
+            run_id = f"r{_next_run_number(records):04d}"
+            if folded:
+                self.profiles_dir.mkdir(parents=True, exist_ok=True)
+                self.profile_path(run_id).write_text(folded, encoding="utf-8")
+            return replace(draft, run_id=run_id)
+
+        record = self.log.append(mint)
         bus = current_event_bus()
         if bus.enabled:
             bus.emit(
@@ -429,38 +392,18 @@ class RunRegistry:
 
     def compact(self, keep: int) -> dict:
         """Rewrite ``runs.jsonl`` keeping only the newest ``keep``
-        records. Atomic (temp file + rename) and serve-safe (the same
-        :func:`registry_lock` appenders hold); profile artifacts of
-        dropped runs are deleted. Run ids are never reused —
-        :meth:`record` derives the next id from the highest surviving
+        records, atomically and under the lock appenders hold; profile
+        artifacts of dropped runs are deleted. Run ids are never reused
+        — :meth:`record` derives the next id from the highest surviving
         id, not the line count."""
         if keep < 1:
             raise ReproError(f"runs compact needs keep >= 1, got {keep}")
-        with registry_lock(self.root):
-            # Re-read under the lock: another process may have appended
-            # since our cache was stamped.
-            self._cache = None
-            records = self._load_all()
-            dropped = records[:-keep] if len(records) > keep else ()
-            kept = records[-keep:] if len(records) > keep else records
-            if dropped:
-                staging = self.path.with_name(self.path.name + ".tmp")
-                staging.write_text(
-                    "".join(
-                        json.dumps(record.to_dict(), sort_keys=True) + "\n"
-                        for record in kept
-                    ),
-                    encoding="utf-8",
-                )
-                staging.replace(self.path)
-                for record in dropped:
-                    if record.profile:
-                        try:
-                            self.profile_path(record.run_id).unlink()
-                        except OSError:
-                            pass
-            self._cache = tuple(kept)
-            self._cache_stamp = self._fingerprint()
+        before, kept = self.log.rewrite(lambda records: records[-keep:])
+        dropped = before[: len(before) - len(kept)]
+        for record in dropped:
+            if record.profile:
+                with suppress(OSError):
+                    self.profile_path(record.run_id).unlink()
         return {"kept": len(kept), "dropped": len(dropped)}
 
     # ------------------------------------------------------------------
@@ -473,35 +416,10 @@ class RunRegistry:
         ``tenant`` narrows the history to that tenant's job runs —
         the scoping ``sosae runs list --tenant`` and tenant-scoped
         alert rules use."""
-        records = self._load_all()
+        records = self.log.records()
         if tenant is None:
             return records
         return tuple(record for record in records if record.tenant == tenant)
-
-    def _load_all(self) -> tuple[RunRecord, ...]:
-        stamp = self._fingerprint()
-        if self._cache is not None and stamp == self._cache_stamp:
-            return self._cache
-        text = self.path.read_text(encoding="utf-8") if stamp else ""
-        lines = text.splitlines()
-        records = []
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(RunRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as error:
-                if number == len(lines) and not text.endswith("\n"):
-                    # An append still being written: keep the complete
-                    # prefix (the stamp predates the read, so it re-reads).
-                    break
-                raise ReproError(
-                    f"{self.path} line {number} is not a valid run record: "
-                    f"{error}"
-                ) from None
-        self._cache = tuple(records)
-        self._cache_stamp = stamp
-        return self._cache
 
     def get(self, reference: str, tenant: Optional[str] = None) -> RunRecord:
         """A run by id, or by the aliases ``latest`` / ``previous``.

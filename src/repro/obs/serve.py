@@ -15,7 +15,9 @@ dependencies):
     active alerts by severity.
 ``/healthz``
     Process liveness: 200 with a small JSON body as long as the daemon
-    runs, even while the latest spec revision fails to parse.
+    runs, even while the latest spec revision fails to parse. Its
+    ``log_repairs`` counts, per log, the torn tails a crashed writer
+    left (``sosae_log_repairs_total`` on ``/metrics``).
 ``/readyz``
     Readiness: 200 once at least one evaluation completed, 503 before.
 ``/report``
@@ -917,6 +919,13 @@ class ServeDaemon:
                             "the latest multi-process evaluation.",
                         )
                     )
+        extras.extend(
+            PromSample(
+                "log_repairs", repairs, {"log": log}, type="counter",
+                help="Torn log tails moved aside to <log>.torn.",
+            )
+            for log, repairs in self._log_repairs().items()
+        )
         if self.jobs is not None:
             extras.append(
                 PromSample(
@@ -962,9 +971,17 @@ class ServeDaemon:
                 "incremental_misses": state.incremental_misses,
                 "last_error": state.last_error,
             }
+        body["log_repairs"] = self._log_repairs()
         if self.jobs is not None:
             body["job_queue_depth"] = self.jobs.queue_depth
         return body
+
+    def _log_repairs(self) -> dict[str, int]:
+        """Torn-tail repairs per log file this daemon appends to."""
+        logs = [] if self.registry is None else [self.registry.log]
+        if self.jobs is not None:
+            logs += [self.jobs.registry.log, self.jobs.audit.log]
+        return {log.path.name: log.repairs for log in logs}
 
     def ready(self) -> bool:
         with self._lock:
